@@ -33,7 +33,7 @@ PINNED_THREADS = {
 }
 
 #: Fresh launches timed per run; ``setup_s`` is their median.
-SETUP_LAUNCHES = 3
+SETUP_LAUNCHES = 7
 
 #: Seeded LFR inputs and the spec each workload runs.  ``direct`` is the
 #: paper-default QHD (32 samples x 32 grid x 200 steps, complex128) on

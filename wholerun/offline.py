@@ -5,18 +5,26 @@ An untraced run has two phases over the run's fixed graph list:
 
 * sequential — one caller, graphs in list order (cycling) until the
   phase's share of ``--seconds`` is spent and at least the workload's
-  minimum count ran: ``graphs_per_s``, ``latency_p50_ms``;
-* concurrent — rounds of ``cpu_count`` callers sharing the session,
-  one graph each, continuing the list's cycle, until the phase's share
-  is spent (at least one round): ``rps_at_slo``, the graphs per second
-  that finish within the workload's latency limit when every CPU has a
-  caller.
+  minimum count ran: ``latency_p50_ms``, the median wall time;
+  ``graphs_per_s``, the list's length over one pass of the list at each
+  graph's median wall time; ``latency_p90_ms``, the nearest-rank p90
+  over the list's graphs of each graph's median wall time (with three
+  graphs, the slowest graph's median).  The p90 is over inputs, not
+  over time: a run holds too few graphs to support a p90 of single
+  walls (the run says so).  Per-graph medians keep a burst of load
+  from the machine's other tenants on one graph out of both;
+* pooled — one caller submitting, graph after graph, to a second
+  session on the process backend with one worker (the path ``repro
+  serve`` and batch callers take) until the phase's share is spent:
+  ``rps_at_slo``, the share of graphs that finished within the
+  workload's latency limit over the median graph wall time.  One
+  worker, not one per CPU: with every CPU busy, load from the
+  machine's other tenants on any CPU slows every graph, and on a
+  shared 2-CPU VM that spread a per-CPU rate by 0.18-0.23 of its median
+  from run to run.
 
-``latency_p90_ms`` is the nearest-rank p90 over every graph of both
-phases — the slowest, as a run holds too few graphs to support a p90
-(the run says so).  ``modularity_mean`` is the mean over the list's
-graphs; every graph of the list runs in one of the phases and its
-result is seeded.
+``modularity_mean`` is the mean over the list's graphs; every graph of
+the list runs in one of the phases and its result is seeded.
 
 A traced run times the first graphs untraced, installs the wrappers of
 :mod:`wholerun.trace` and times the same graphs again.
@@ -24,10 +32,8 @@ A traced run times the first graphs untraced, installs the wrappers of
 
 from __future__ import annotations
 
-import os
 import statistics
 import sys
-import threading
 import time
 from pathlib import Path
 from typing import Any
@@ -36,10 +42,12 @@ from wholerun import common, stats, trace
 
 #: Share of ``--seconds`` given to the sequential phase, and the fewest
 #: graphs it runs.  A direct graph takes 10-16 s on a 2-CPU box, so a
-#: direct run holds one or two sequential graphs.
-SEQUENTIAL_SHARE = 0.4
-CONCURRENT_SHARE = 0.3
-MIN_SEQUENTIAL = {"direct": 1, "multilevel": 3}
+#: direct run holds one or two sequential graphs.  Nine multilevel
+#: graphs (~3 s each) are three passes over the list, so each graph's
+#: median is over three walls.
+SEQUENTIAL_SHARE = 0.45
+POOLED_SHARE = 0.35
+MIN_SEQUENTIAL = {"direct": 1, "multilevel": 9}
 
 #: Per-graph latency limit of ``rps_at_slo`` on the offline workloads.
 LATENCY_LIMIT_S = {"direct": 30.0, "multilevel": 15.0}
@@ -62,7 +70,8 @@ def _ready(proc: Any) -> None:
 
 
 class _Runner:
-    """Runs and checks graphs of one workload through one session."""
+    """Runs and checks graphs of one workload through one session,
+    and, once :meth:`start_workers` ran, through a process-backed one."""
 
     def __init__(self, workload: str, seed: int) -> None:
         import repro.api as api
@@ -73,16 +82,32 @@ class _Runner:
         self.k = common.WORKLOADS[workload]["k"]
         self.graphs = common.make_graphs(workload)
         self.session = api.Session()
+        self.workers: Any = None
         self.errors: list[str] = []
         self.attempted = 0
         self.scores: dict[int, float] = {}
-        self._lock = threading.Lock()
         # Warm-up: first calls through every code path, on a small graph.
-        small = lfr_graph(40, mixing=0.2, seed=0)[0]
-        self.session.detect(small, common.make_spec(workload, seed, 0))
+        self._small = lfr_graph(40, mixing=0.2, seed=0)[0]
+        self.session.detect(self._small, common.make_spec(workload, seed, 0))
 
-    def run(self, index: int) -> tuple[float, Any]:
-        """Detect on graph ``index`` (cycling); return (wall s, artifact).
+    def start_workers(self) -> None:
+        """Open the process-backed session with one worker and warm it
+        up on the small graph."""
+        import repro.api as api
+
+        self.workers = api.Session(executor="process", max_workers=1)
+        self.workers.submit(
+            self._small, common.make_spec(self.workload, self.seed, 0)
+        ).result()
+
+    def close(self) -> None:
+        self.session.close()
+        if self.workers is not None:
+            self.workers.close()
+
+    def run(self, index: int, pooled: bool = False) -> tuple[float, Any]:
+        """Detect on graph ``index`` (cycling), in this process or, if
+        ``pooled``, on a worker; return (wall s, artifact).
 
         A failed correctness check is recorded in :attr:`errors`.
         """
@@ -90,16 +115,18 @@ class _Runner:
         graph = self.graphs[slot]
         spec = common.make_spec(self.workload, self.seed, slot)
         start = time.perf_counter()
-        artifact = self.session.detect(graph, spec)
+        if pooled:
+            artifact = self.workers.submit(graph, spec).result()
+        else:
+            artifact = self.session.detect(graph, spec)
         wall = time.perf_counter() - start
         result = artifact.result
         error = common.check_partition(graph, self.k, result.labels,
                                        result.modularity)
-        with self._lock:
-            self.attempted += 1
-            self.scores[slot] = result.modularity
-            if error is not None:
-                self.errors.append(f"graph {slot}: {error}")
+        self.attempted += 1
+        self.scores[slot] = result.modularity
+        if error is not None:
+            self.errors.append(f"graph {slot}: {error}")
         return wall, artifact
 
     def pool_counts(self) -> tuple[int, int]:
@@ -117,27 +144,18 @@ def _sequential(runner: _Runner, budget_s: float, minimum: int
     return walls
 
 
-def _concurrent(runner: _Runner, budget_s: float, limit_s: float,
-                index: int) -> tuple[float, list[float]]:
-    """Graphs per second finishing within ``limit_s`` with one caller
-    per CPU, in rounds of one graph per caller from list ``index`` on;
-    and the graphs' wall times."""
-    callers = os.cpu_count() or 1
+def _pooled(runner: _Runner, budget_s: float, limit_s: float,
+            index: int) -> tuple[float, list[float]]:
+    """Graphs per second finishing within ``limit_s`` through one process
+    worker, from the median graph wall time, continuing the list's cycle
+    from ``index``; and the graphs' wall times."""
+    runner.start_workers()
     walls: list[float] = []
     start = time.perf_counter()
     while not walls or time.perf_counter() - start < budget_s:
-        threads = [
-            threading.Thread(
-                target=lambda i=i: walls.append(runner.run(i)[0]))
-            for i in range(index, index + callers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        index += callers
-    elapsed = time.perf_counter() - start
-    return sum(1 for w in walls if w <= limit_s) / elapsed, walls
+        walls.append(runner.run(index + len(walls), pooled=True)[0])
+    within = sum(1 for w in walls if w <= limit_s) / len(walls)
+    return within / statistics.median(walls), walls
 
 
 def run(workload: str, seed: int, seconds: float, traced: bool,
@@ -148,28 +166,10 @@ def run(workload: str, seed: int, seconds: float, traced: bool,
         metrics["setup_s"] = common.time_setup(
             [sys.executable, "-c", _SETUP_SNIPPET], _ready)
     runner = _Runner(workload, seed)
-    if traced:
-        metrics.update(_traced(runner, workdir))
-    else:
-        walls = _sequential(runner, SEQUENTIAL_SHARE * seconds,
-                            MIN_SEQUENTIAL[workload])
-        rps_at_slo, contended = _concurrent(
-            runner, CONCURRENT_SHARE * seconds, LATENCY_LIMIT_S[workload],
-            index=len(walls))
-        every = walls + contended
-        print(f"{workload}: {len(walls)} sequential + {len(contended)} "
-              f"concurrent graphs; p90 of {len(every)} is "
-              f"{'supported' if stats.supported(len(every), 90) else 'unsupported'}",
-              flush=True)
-        metrics.update({
-            "graphs_per_s": len(walls) / sum(walls),
-            "latency_p50_ms": statistics.median(walls) * 1e3,
-            "latency_p90_ms": stats.percentile(every, 90) * 1e3,
-            "rps_at_slo": rps_at_slo,
-            "modularity_mean": statistics.fmean(runner.scores.values()),
-            "peak_rss_mb": common.peak_rss_mb_self(),
-        })
-    runner.session.close()
+    try:
+        _measure(runner, workload, seconds, traced, workdir, metrics)
+    finally:
+        runner.close()
     if not traced and len(runner.scores) != len(runner.graphs):
         runner.errors.append(f"only {len(runner.scores)} of "
                              f"{len(runner.graphs)} graphs ran")
@@ -182,6 +182,35 @@ def run(workload: str, seed: int, seconds: float, traced: bool,
     common.emit_env(common.environment(workload, start))
     return {"attempted": runner.attempted, "failed": failed,
             "metrics": metrics}
+
+
+def _measure(runner: _Runner, workload: str, seconds: float, traced: bool,
+             workdir: Path, metrics: dict[str, float]) -> None:
+    if traced:
+        metrics.update(_traced(runner, workdir))
+        return
+    walls = _sequential(runner, SEQUENTIAL_SHARE * seconds,
+                        MIN_SEQUENTIAL[workload])
+    rps_at_slo, pooled = _pooled(
+        runner, POOLED_SHARE * seconds, LATENCY_LIMIT_S[workload],
+        index=len(walls))
+    print(f"{workload}: {len(walls)} sequential + {len(pooled)} "
+          f"pooled graphs; a p90 of {len(walls)} walls would be "
+          f"{'supported' if stats.supported(len(walls), 90) else 'unsupported'}",
+          flush=True)
+    print(f"sequential walls s: {[round(w, 3) for w in walls]}", flush=True)
+    print(f"pooled walls s: {[round(w, 3) for w in pooled]}", flush=True)
+    size = len(runner.graphs)
+    per_graph = [statistics.median(walls[slot::size])
+                 for slot in range(min(size, len(walls)))]
+    metrics.update({
+        "graphs_per_s": len(per_graph) / sum(per_graph),
+        "latency_p50_ms": statistics.median(walls) * 1e3,
+        "latency_p90_ms": stats.percentile(per_graph, 90) * 1e3,
+        "rps_at_slo": rps_at_slo,
+        "modularity_mean": statistics.fmean(runner.scores.values()),
+        "peak_rss_mb": common.peak_rss_mb_self(),
+    })
 
 
 def _traced(runner: _Runner, workdir: Path) -> dict[str, float]:
