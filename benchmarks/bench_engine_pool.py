@@ -47,6 +47,7 @@ ROOT_TRAJECTORY = Path(__file__).parent.parent / "BENCH_engine_pool.json"
 sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import bench_scale, save_report  # noqa: E402
+from _trajectory import append_point  # noqa: E402
 
 
 def _measure_acquisition(
@@ -263,15 +264,7 @@ def append_trajectory_point(report: dict) -> Path:
         "amortized_setup_speedup_batch16": batch16["amortized_speedup"],
         "end_to_end_batch_speedup": e2e["speedup"],
     }
-    if ROOT_TRAJECTORY.exists():
-        data = json.loads(ROOT_TRAJECTORY.read_text(encoding="utf-8"))
-    else:
-        data = {"benchmark": "engine_pool", "trajectory": []}
-    data["trajectory"].append(point)
-    ROOT_TRAJECTORY.write_text(
-        json.dumps(data, indent=2) + "\n", encoding="utf-8"
-    )
-    return ROOT_TRAJECTORY
+    return append_point(ROOT_TRAJECTORY, "engine_pool", point)
 
 
 def test_engine_pool(benchmark):

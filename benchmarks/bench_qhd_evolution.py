@@ -42,6 +42,7 @@ ROOT_TRAJECTORY = Path(__file__).parent.parent / "BENCH_qhd_evolution.json"
 sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import bench_scale, save_report  # noqa: E402
+from _trajectory import append_point  # noqa: E402
 
 
 def _baseline_evolution(solver, model) -> None:
@@ -223,15 +224,7 @@ def append_trajectory_point(report: dict) -> Path | None:
         "complex64_ms_per_step": headline["complex64_ms_per_step"],
         "complex64_speedup": headline["complex64_speedup"],
     }
-    if ROOT_TRAJECTORY.exists():
-        data = json.loads(ROOT_TRAJECTORY.read_text(encoding="utf-8"))
-    else:
-        data = {"benchmark": "qhd_evolution", "trajectory": []}
-    data["trajectory"].append(point)
-    ROOT_TRAJECTORY.write_text(
-        json.dumps(data, indent=2) + "\n", encoding="utf-8"
-    )
-    return ROOT_TRAJECTORY
+    return append_point(ROOT_TRAJECTORY, "qhd_evolution", point)
 
 
 def test_qhd_evolution(benchmark):

@@ -46,6 +46,7 @@ ROOT_TRAJECTORY = Path(__file__).parent.parent / "BENCH_serve.json"
 sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import bench_scale, save_report  # noqa: E402
+from _trajectory import append_point  # noqa: E402
 
 CONCURRENCY = 4
 
@@ -200,15 +201,7 @@ def append_trajectory_point(report: dict) -> Path:
         "p50_ms": row["p50_ms"],
         "p95_ms": row["p95_ms"],
     }
-    if ROOT_TRAJECTORY.exists():
-        data = json.loads(ROOT_TRAJECTORY.read_text(encoding="utf-8"))
-    else:
-        data = {"benchmark": "serve", "trajectory": []}
-    data["trajectory"].append(point)
-    ROOT_TRAJECTORY.write_text(
-        json.dumps(data, indent=2) + "\n", encoding="utf-8"
-    )
-    return ROOT_TRAJECTORY
+    return append_point(ROOT_TRAJECTORY, "serve", point)
 
 
 def test_serve(benchmark):

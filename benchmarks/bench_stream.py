@@ -48,6 +48,7 @@ ROOT_TRAJECTORY = Path(__file__).parent.parent / "BENCH_stream.json"
 sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import bench_scale, save_report  # noqa: E402
+from _trajectory import append_point  # noqa: E402
 
 
 def _initial_instance(n_nodes: int, n_communities: int, seed: int):
@@ -251,15 +252,7 @@ def append_trajectory_point(report: dict) -> Path:
         "incremental_ms_per_batch": row["incremental_ms_per_batch"],
         "min_speedup": report["min_speedup"],
     }
-    if ROOT_TRAJECTORY.exists():
-        data = json.loads(ROOT_TRAJECTORY.read_text(encoding="utf-8"))
-    else:
-        data = {"benchmark": "stream", "trajectory": []}
-    data["trajectory"].append(point)
-    ROOT_TRAJECTORY.write_text(
-        json.dumps(data, indent=2) + "\n", encoding="utf-8"
-    )
-    return ROOT_TRAJECTORY
+    return append_point(ROOT_TRAJECTORY, "stream", point)
 
 
 def test_stream(benchmark):

@@ -24,9 +24,10 @@ from __future__ import annotations
 import warnings
 from typing import TYPE_CHECKING, Any, Sequence
 
+import numpy as np
+
 if TYPE_CHECKING:
     from repro.api.session import Session
-    from repro.api.shm import ShmChunkReader
 
 from repro.api.registry import DETECTORS, SOLVERS, Registry
 from repro.api.spec import RunArtifact, RunSpec, SpecError
@@ -248,28 +249,14 @@ def _encode_input(item: Any) -> tuple[str, Any]:
     return ("object", item)
 
 
-def _decode_input(
-    tag: str,
-    payload: Any,
-    reader: "ShmChunkReader | None" = None,
-) -> Any:
+def _decode_input(tag: str, payload: Any) -> Any:
     """Worker-side inverse of :func:`_encode_input` (bit-exact).
 
-    ``shm`` descriptors are first resolved through ``reader`` into the
-    underlying ``(tag, payload)`` pair as read-only segment views.
-    Array payloads are trusted as canonical — they are :meth:`to_arrays`
-    output on both wires — so graph reconstruction adopts them without
-    a canonicalisation pass (a stable no-op on canonical arrays,
-    skipped here so shared-memory views stay zero-copy).
+    Array payloads are trusted as canonical — they are
+    :meth:`to_arrays` output — so graph reconstruction adopts them
+    without a canonicalisation pass (a stable no-op on canonical
+    arrays, skipped here to save a validate-and-sort pass per graph).
     """
-    if tag == "shm":
-        from repro.api.shm import ShmWireError
-
-        if reader is None:
-            raise ShmWireError(
-                "shm wire descriptor outside a chunk reader context"
-            )
-        tag, payload = reader.decode(payload)
     if tag == "graph":
         from repro.graphs.graph import Graph
 
@@ -279,6 +266,20 @@ def _decode_input(
 
         return model_from_arrays(payload)
     return payload
+
+
+def payload_nbytes(tag: str, payload: Any) -> int:
+    """Array bytes carried by one wire payload (0 for ``object`` tags)."""
+    if tag == "graph":
+        arrays = payload[1:]
+    elif tag == "qubo":
+        arrays = payload.values()
+    else:
+        return 0
+    return sum(
+        int(array.nbytes) for array in arrays
+        if isinstance(array, np.ndarray)
+    )
 
 
 def _worker_initializer(
@@ -313,14 +314,10 @@ def _run_chunk(
     reassemble results in order regardless of which worker ran which
     chunk.  ``spec_payload`` is either one spec dict shared by every
     entry or a list of spec dicts aligned with the chunk (per-item
-    specs).  Shared-memory payloads are resolved through one
-    :class:`repro.api.shm.ShmChunkReader` whose attachments are closed
-    when the chunk exits — success or not.  Returns the indexed
-    artifacts plus the worker pool's counter delta for this chunk
-    (merged into the parent session's pool counters), or ``None`` when
-    pooling is disabled.
+    specs).  Returns the indexed artifacts plus the worker pool's
+    counter delta for this chunk (merged into the parent session's
+    pool counters), or ``None`` when pooling is disabled.
     """
-    from repro.api.shm import ShmChunkReader
     from repro.qhd import pool as qhd_pool
 
     pool = qhd_pool.process_pool()
@@ -332,15 +329,11 @@ def _run_chunk(
     run_one = _detect_one if kind == "detect" else _solve_one
     before = pool.counter_snapshot() if pool is not None else None
     results = []
-    with ShmChunkReader() as reader:
-        for (index, (tag, payload)), spec in zip(chunk, specs):
-            item = _decode_input(tag, payload, reader=reader)
-            results.append(
-                (index, run_one(item, spec, index, engine_pool=pool))
-            )
-            # Drop the reconstructed input before the reader closes so
-            # segment views don't pin the mapping past the chunk.
-            del item
+    for (index, (tag, payload)), spec in zip(chunk, specs):
+        item = _decode_input(tag, payload)
+        results.append(
+            (index, run_one(item, spec, index, engine_pool=pool))
+        )
     delta = (
         EnginePool.counter_delta(before, pool.counter_snapshot())
         if pool is not None

@@ -19,18 +19,12 @@ reusable runtime state:
 
 Process-mode handoff is array-native: graphs ship as
 :meth:`repro.graphs.Graph.to_arrays` tuples and QUBO models as
-``to_arrays()`` bundles (see :mod:`repro.api.runner`), never pickled
-object graphs.  With ``wire="shm"`` (the ``"auto"`` default on the
-process backend) the arrays don't even ride the task payload: each
-unique input is written once per batch into
-:mod:`multiprocessing.shared_memory` segments
-(:mod:`repro.api.shm`) and chunks carry only ``(segment, dtype,
-shape, offset)`` descriptors, with the creator unlinking every
-segment in a ``finally`` and :meth:`Session.close` sweeping any
-straggler writers.  Batches are sharded into ``~4 × workers``
-contiguous chunks pulled from the executor's shared queue, so a
-straggling chunk cannot serialise the tail; results are reassembled
-in input order.
+``to_arrays()`` bundles (see :mod:`repro.api.runner`) — plain arrays
+pickled into the task payload, never pickled object graphs; the array
+bytes shipped are tallied in ``stats()["wire"]["bytes_shipped"]``.
+Batches are sharded into ``~4 × workers`` contiguous chunks pulled
+from the executor's shared queue, so a straggling chunk cannot
+serialise the tail; results are reassembled in input order.
 
 Determinism is unchanged by any of this: every run still gets its own
 freshly built, identically-seeded pipeline, so **batch ≡ sequence of
@@ -72,16 +66,13 @@ from concurrent.futures import (
     wait,
 )
 from types import TracebackType
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.api import runner
 from repro.api.config import Configurable
 from repro.api.spec import RunArtifact, RunSpec
 from repro.exceptions import ReproError
 from repro.qhd.pool import EnginePool
-
-if TYPE_CHECKING:
-    from repro.api.shm import ShmBatchWriter
 
 #: Batch fan-outs are sharded into up to this many chunks per worker.
 #: More chunks than workers is what makes the shared submission queue a
@@ -90,18 +81,6 @@ if TYPE_CHECKING:
 CHUNKS_PER_WORKER = 4
 
 _EXECUTORS = ("thread", "process", "auto")
-
-_WIRES = ("pickle", "shm", "auto")
-
-#: Zeroed wire-counter template (shared keys with
-#: :meth:`repro.api.shm.ShmBatchWriter.counters`).
-_WIRE_COUNTER_KEYS = (
-    "segments_created",
-    "bundles_encoded",
-    "bundles_reused",
-    "bytes_shipped",
-    "bytes_referenced",
-)
 
 
 class SessionError(ReproError):
@@ -155,16 +134,6 @@ class Session(Configurable):
         multi-core machines and ``"thread"`` otherwise.  Single
         :meth:`detect` / :meth:`solve` calls always run in-process —
         the knob only shapes batch fan-out, never results.
-    wire:
-        How process-mode batches hand their inputs to workers.
-        ``"shm"`` writes each unique input's arrays into
-        shared-memory segments once per batch and ships only
-        descriptors (:mod:`repro.api.shm`); ``"pickle"`` ships the
-        arrays inside the task payload (the PR 6 wire); ``"auto"``
-        (default) resolves to ``"shm"``.  Thread and sequential
-        backends never serialise inputs, so the knob is a no-op
-        there.  Like ``executor``, it shapes throughput only, never
-        results.
 
     Like every other knob in the library, the constructor parameters
     round-trip through :meth:`Configurable.to_config` /
@@ -195,7 +164,6 @@ class Session(Configurable):
         max_idle_engines: int = 4,
         pooling: bool = True,
         executor: str = "thread",
-        wire: str = "auto",
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise SessionError(
@@ -206,17 +174,12 @@ class Session(Configurable):
                 f"executor must be one of {list(_EXECUTORS)}, "
                 f"got {executor!r}"
             )
-        if wire not in _WIRES:
-            raise SessionError(
-                f"wire must be one of {list(_WIRES)}, got {wire!r}"
-            )
         self._max_workers = (
             _default_width() if max_workers is None else int(max_workers)
         )
         self._max_idle_engines = int(max_idle_engines)
         self._pooling = bool(pooling)
         self._executor = executor
-        self._wire = wire
         self._backend = (
             ("process" if (os.cpu_count() or 1) > 1 else "thread")
             if executor == "auto"
@@ -235,8 +198,7 @@ class Session(Configurable):
         self._runs = 0
         self._clamped_calls = 0
         self._clamp_warned: set[int] = set()
-        self._wire_counters = dict.fromkeys(_WIRE_COUNTER_KEYS, 0)
-        self._shm_writers: set[ShmBatchWriter] = set()
+        self._bytes_shipped = 0
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -262,15 +224,6 @@ class Session(Configurable):
         return self._backend
 
     @property
-    def wire_mode(self) -> str:
-        """The resolved process-batch wire: ``"pickle"`` or ``"shm"``.
-
-        Only meaningful when :attr:`executor_backend` is
-        ``"process"`` — the other backends never serialise inputs.
-        """
-        return "shm" if self._wire == "auto" else self._wire
-
-    @property
     def closed(self) -> bool:
         """Whether :meth:`close` has been called."""
         return self._closed
@@ -279,18 +232,20 @@ class Session(Configurable):
         """Run counters plus the engine pool's counters (JSON-ready).
 
         In process mode the pool counters include the per-worker pools'
-        work, merged back chunk by chunk.
+        work, merged back chunk by chunk, and ``wire.bytes_shipped``
+        counts the input array bytes handed to worker processes (the
+        thread backend never serialises inputs, so it stays 0 there).
         """
         with self._lock:
             runs = self._runs
             clamped = self._clamped_calls
-            wire_counters = dict(self._wire_counters)
+            shipped = self._bytes_shipped
         return {
             "runs": runs,
             "clamped_calls": clamped,
             "max_workers": self._max_workers,
             "executor": self._backend,
-            "wire": {"mode": self.wire_mode, **wire_counters},
+            "wire": {"bytes_shipped": shipped},
             "engine_pool": (
                 None
                 if self._engine_pool is None
@@ -301,10 +256,7 @@ class Session(Configurable):
     def close(self) -> None:
         """Shut the executors down and drop every idle engine.
 
-        In process mode this terminates the worker processes and
-        sweeps any shared-memory batch writer that has not yet been
-        closed by its batch's own ``finally`` (the straggler
-        guarantee: no segment this session created outlives it).
+        In process mode this terminates the worker processes.
         Idempotent; further run calls raise :class:`SessionError`.
         """
         with self._lock:
@@ -320,7 +272,6 @@ class Session(Configurable):
             process_executor, self._process_executor = (
                 self._process_executor, None,
             )
-            writers, self._shm_writers = self._shm_writers, set()
         # The dispatch pool first: in-flight submitted jobs may still be
         # waiting on the batch executors, so those must outlive it.
         if dispatch_executor is not None:
@@ -329,8 +280,6 @@ class Session(Configurable):
             thread_executor.shutdown(wait=True)
         if process_executor is not None:
             process_executor.shutdown(wait=True)
-        for writer in writers:
-            writer.close()
         if self._engine_pool is not None:
             self._engine_pool.clear()
 
@@ -462,7 +411,7 @@ class Session(Configurable):
 
         Every graph gets its own freshly built, identically-seeded
         detector (batch ≡ sequence of single runs, bit-exact, for every
-        executor, wire mode and chunking).  ``spec`` may also be a
+        executor and chunking).  ``spec`` may also be a
         list/tuple of specs aligned one-to-one with ``graphs`` —
         per-item seeds and configs for sweep drivers — with the same
         contract per item.  ``max_workers`` above the session's width
@@ -482,7 +431,7 @@ class Session(Configurable):
         The solve-side counterpart of :meth:`detect_batch`: each model
         gets a freshly built, identically-seeded solver, so the batch
         reproduces the corresponding sequence of single :meth:`solve`
-        calls for any worker count, executor backend and wire mode.
+        calls for any worker count and executor backend.
         ``spec`` may be a list/tuple of specs aligned with ``models``.
         """
         return self._run_batch("solve", models, spec, max_workers)
@@ -550,14 +499,9 @@ class Session(Configurable):
         """Dispatch-pool body of one :meth:`submit` job."""
         if self._backend == "process":
             executor = self._ensure_process_executor()
-            tag, payload = runner._encode_input(item)
-            from repro.api import shm as shm_wire
-
-            self._fold_wire_counters(
-                {"bytes_shipped": shm_wire.payload_nbytes(tag, payload)}
-            )
+            (encoded,) = self._encode_batch([item])
             chunk_results, delta = executor.submit(
-                runner._run_chunk, kind, spec.to_dict(), [(0, (tag, payload))]
+                runner._run_chunk, kind, spec.to_dict(), [(0, encoded)]
             ).result()
             if delta is not None and self._engine_pool is not None:
                 self._engine_pool.merge_counters(delta)
@@ -689,42 +633,15 @@ class Session(Configurable):
         ]
         return [future.result() for future in futures]
 
-    def _fold_wire_counters(self, counters: dict[str, int]) -> None:
+    def _encode_batch(self, inputs: list[Any]) -> list[tuple[str, Any]]:
+        """Lower inputs to their array wire form, tallying bytes shipped."""
+        encoded = [runner._encode_input(item) for item in inputs]
+        shipped = sum(
+            runner.payload_nbytes(tag, payload) for tag, payload in encoded
+        )
         with self._lock:
-            for key in _WIRE_COUNTER_KEYS:
-                self._wire_counters[key] += counters.get(key, 0)
-
-    def _encode_batch(
-        self, inputs: list[Any]
-    ) -> tuple[list[tuple[str, Any]], "ShmBatchWriter | None", int]:
-        """Lower batch inputs onto the resolved wire.
-
-        Returns ``(encoded, writer, bytes_shipped)``.  On the shm wire
-        every array bundle goes through one :class:`ShmBatchWriter`
-        (deduped on input identity — repeated graphs in one batch share
-        a segment) and only descriptors enter the task payloads; on the
-        pickle wire (and for ``object``-tag fallbacks either way) the
-        payload carries the bytes and they are tallied as shipped.
-        """
-        from repro.api import shm as shm_wire
-
-        writer: ShmBatchWriter | None = None
-        if self.wire_mode == "shm":
-            writer = shm_wire.ShmBatchWriter()
-            with self._lock:
-                self._shm_writers.add(writer)
-        encoded: list[tuple[str, Any]] = []
-        shipped = 0
-        for item in inputs:
-            tag, payload = runner._encode_input(item)
-            if writer is not None and tag in shm_wire.SHM_TAGS:
-                encoded.append(
-                    ("shm", writer.encode(tag, payload, key=id(item)))
-                )
-            else:
-                shipped += shm_wire.payload_nbytes(tag, payload)
-                encoded.append((tag, payload))
-        return encoded, writer, shipped
+            self._bytes_shipped += shipped
+        return encoded
 
     def _run_batch_processes(
         self,
@@ -737,83 +654,62 @@ class Session(Configurable):
         """Chunked, order-preserving fan-out over the process pool.
 
         Inputs are lowered to their array wire form
-        (:func:`repro.api.runner._encode_input`) — or, on the shm wire,
-        to shared-memory descriptors written once per unique input —
-        sharded into up to ``CHUNKS_PER_WORKER × width`` contiguous
-        chunks and submitted with at most ``width`` chunks in flight:
-        the executor's shared queue hands the next chunk to whichever
-        worker frees up first, so a straggler only delays its own
-        chunk, not the tail.  Worker pool counters ride back with each
-        chunk and are merged into the session pool's counters; wire
-        counters fold into :meth:`stats`.  The shm writer's segments
-        are unlinked in the ``finally`` whether the batch succeeds or a
-        worker raises mid-batch.
+        (:func:`repro.api.runner._encode_input`), sharded into up to
+        ``CHUNKS_PER_WORKER × width`` contiguous chunks and submitted
+        with at most ``width`` chunks in flight: the executor's shared
+        queue hands the next chunk to whichever worker frees up first,
+        so a straggler only delays its own chunk, not the tail.  Worker
+        pool counters ride back with each chunk and are merged into the
+        session pool's counters.
         """
         executor = self._ensure_process_executor()
-        encoded, writer, shipped = self._encode_batch(inputs)
-        try:
-            shared_payload = None if shared is None else shared.to_dict()
-            spec_dicts = (
-                None
-                if shared is not None
-                else [spec.to_dict() for spec in specs]
+        encoded = self._encode_batch(inputs)
+        shared_payload = None if shared is None else shared.to_dict()
+        spec_dicts = (
+            None
+            if shared is not None
+            else [spec.to_dict() for spec in specs]
+        )
+        n = len(inputs)
+        n_chunks = min(n, width * CHUNKS_PER_WORKER)
+        base, extra = divmod(n, n_chunks)
+        chunks = []
+        start = 0
+        for chunk_index in range(n_chunks):
+            size = base + (1 if chunk_index < extra else 0)
+            chunks.append(
+                [(i, encoded[i]) for i in range(start, start + size)]
             )
-            n = len(inputs)
-            n_chunks = min(n, width * CHUNKS_PER_WORKER)
-            base, extra = divmod(n, n_chunks)
-            chunks = []
-            start = 0
-            for chunk_index in range(n_chunks):
-                size = base + (1 if chunk_index < extra else 0)
-                chunks.append(
-                    [(i, encoded[i]) for i in range(start, start + size)]
+            start += size
+
+        results: list[Any] = [None] * n
+        pending = iter(chunks)
+        in_flight = set()
+
+        def submit_next() -> None:
+            chunk = next(pending, None)
+            if chunk is not None:
+                payload = (
+                    shared_payload
+                    if spec_dicts is None
+                    else [spec_dicts[i] for i, _ in chunk]
                 )
-                start += size
+                in_flight.add(
+                    executor.submit(runner._run_chunk, kind, payload, chunk)
+                )
 
-            results: list[Any] = [None] * n
-            pending = iter(chunks)
-            in_flight = set()
-
-            def submit_next() -> None:
-                chunk = next(pending, None)
-                if chunk is not None:
-                    payload = (
-                        shared_payload
-                        if spec_dicts is None
-                        else [spec_dicts[i] for i, _ in chunk]
-                    )
-                    in_flight.add(
-                        executor.submit(
-                            runner._run_chunk, kind, payload, chunk
-                        )
-                    )
-
-            for _ in range(min(width, n_chunks)):
+        for _ in range(min(width, n_chunks)):
+            submit_next()
+        while in_flight:
+            done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                chunk_results, delta = future.result()
+                for index, artifact in chunk_results:
+                    results[index] = artifact
+                if delta is not None and self._engine_pool is not None:
+                    self._engine_pool.merge_counters(delta)
                 submit_next()
-            while in_flight:
-                done, in_flight = wait(
-                    in_flight, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    chunk_results, delta = future.result()
-                    for index, artifact in chunk_results:
-                        results[index] = artifact
-                    if delta is not None and self._engine_pool is not None:
-                        self._engine_pool.merge_counters(delta)
-                    submit_next()
-            return results
-        finally:
-            counters = (
-                dict.fromkeys(_WIRE_COUNTER_KEYS, 0)
-                if writer is None
-                else writer.counters()
-            )
-            counters["bytes_shipped"] += shipped
-            self._fold_wire_counters(counters)
-            if writer is not None:
-                writer.close()
-                with self._lock:
-                    self._shm_writers.discard(writer)
+        return results
 
 
 @contextlib.contextmanager
@@ -825,8 +721,8 @@ def session_scope(
     The experiment drivers and CLI commands accept an optional caller
     session; this scope is their uniform plumbing — a caller-provided
     session is yielded untouched (the caller owns its lifecycle), and
-    the ``None`` case builds a throwaway session that is closed (and
-    its shared-memory writers swept) when the block exits.
+    the ``None`` case builds a throwaway session that is closed when
+    the block exits.
 
     Examples
     --------
@@ -851,9 +747,9 @@ def session_scope(
 _default_session: Session | None = None
 _default_lock = threading.Lock()
 #: Set by the atexit hook: once the interpreter is tearing down, no
-#: replacement default session may be built — its executors and shm
-#: segments would never be reaped (there is no later hook to close
-#: them), which is exactly the zombie-session leak the flag prevents.
+#: replacement default session may be built — its executors would
+#: never be reaped (there is no later hook to close them), which is
+#: exactly the zombie-session leak the flag prevents.
 _default_shutdown = False
 
 
@@ -872,9 +768,8 @@ def default_session() -> Session:
     explicit :func:`_close_default_session`) is transparently replaced
     — the still-registered atexit hook reaps the replacement too.
     Once the hook itself has run, building a replacement would leak its
-    executors and shared-memory segments with nothing left to close
-    them, so facade calls during interpreter teardown raise
-    :class:`SessionError` instead.
+    executors with nothing left to close them, so facade calls during
+    interpreter teardown raise :class:`SessionError` instead.
 
     Examples
     --------
@@ -917,8 +812,8 @@ def _shutdown_default_session() -> None:
 
     Unlike :func:`_close_default_session` this also latches
     ``_default_shutdown``, so a late facade call cannot silently
-    rebuild a zombie session whose process pool and shm segments would
-    never be reaped (no atexit hook runs after this one).
+    rebuild a zombie session whose process pool would never be reaped
+    (no atexit hook runs after this one).
 
     Registered with :mod:`atexit` so a plain-facade process never leaks
     its executors: thread pools are joined and, when a process backend

@@ -165,13 +165,9 @@ def _merge_spec_overrides(spec, args: argparse.Namespace):
 
 def _session_line(stats: dict) -> str:
     """Render the resolved session backend for CLI output."""
-    wire = stats.get("wire") or {}
-    wire_note = (
-        f", {wire['mode']} wire" if stats["executor"] == "process" else ""
-    )
     return (
         f"executor:     {stats['executor']} "
-        f"({stats['max_workers']} workers{wire_note})"
+        f"({stats['max_workers']} workers)"
     )
 
 
@@ -182,22 +178,19 @@ def _detect_repeated(
     repeats: int,
     executor: str = "thread",
     max_workers: int | None = None,
-    wire: str = "auto",
 ):
     """Run ``spec`` ``repeats`` times through one reusable session.
 
     Demonstrates (and exercises) the session runtime from the CLI: the
     repeats go through :meth:`repro.api.Session.detect_batch`, so
-    ``--executor``/``--max-workers``/``--wire`` pick the backend
-    (persistent thread pool, or a process pool with per-worker engine
-    pools and pickle vs shared-memory input handoff) and same-shape QHD
-    runs lease cached evolution engines instead of rebuilding phase
-    tables and workspace buffers.  Seeded runs are bit-identical for
-    every executor and wire, so only the last artifact is kept.
+    ``--executor``/``--max-workers`` pick the backend (persistent
+    thread pool, or a process pool with per-worker engine pools) and
+    same-shape QHD runs lease cached evolution engines instead of
+    rebuilding phase tables and workspace buffers.  Seeded runs are
+    bit-identical for every executor, so only the last artifact is
+    kept.
     """
-    with api.Session(
-        max_workers=max_workers, executor=executor, wire=wire
-    ) as session:
+    with api.Session(max_workers=max_workers, executor=executor) as session:
         artifacts = session.detect_batch([graph] * repeats, spec)
         stats = session.stats()
     reference = artifacts[0].result.labels
@@ -232,14 +225,18 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     import repro.api as api
     from repro.graphs.io import read_edge_list
 
-    graph = read_edge_list(args.input, weighted=args.weighted)
+    try:
+        graph = read_edge_list(args.input, weighted=args.weighted)
+        spec_file = api.RunSpec.from_file(args.spec) if args.spec else None
+    except (OSError, ValueError, api.SpecError) as error:
+        raise SystemExit(str(error)) from None
     print(
         f"loaded {args.input}: {graph.n_nodes} nodes, "
         f"{graph.n_edges} edges"
     )
 
-    if args.spec:
-        spec = _merge_spec_overrides(api.RunSpec.from_file(args.spec), args)
+    if spec_file is not None:
+        spec = _merge_spec_overrides(spec_file, args)
     else:
         if args.communities is None:
             raise SystemExit(
@@ -279,11 +276,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 args.repeat,
                 executor=args.executor,
                 max_workers=args.max_workers,
-                wire=args.wire,
             )
         else:
             artifact = api.detect(graph, spec)
-    except (api.RegistryError, api.SpecError, api.ConfigError) as error:
+    except (
+        api.RegistryError, api.SpecError, api.ConfigError, ValueError
+    ) as error:
         raise SystemExit(str(error)) from None
     _print_result(graph, artifact.result, args.output, args.print_labels)
     if args.artifact:
@@ -332,26 +330,27 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     import repro.api as api
     from repro.graphs.io import read_edge_list
 
-    graph = read_edge_list(args.input, weighted=args.weighted)
+    try:
+        graph = read_edge_list(args.input, weighted=args.weighted)
+        spec = api.RunSpec.from_file(args.spec)
+        batches = _read_event_batches(args.updates)
+    except (OSError, ValueError, api.SpecError) as error:
+        raise SystemExit(str(error)) from None
     print(
         f"loaded {args.input}: {graph.n_nodes} nodes, "
         f"{graph.n_edges} edges"
     )
-    spec = api.RunSpec.from_file(args.spec)
     if args.communities is not None:
         spec = spec.replace(n_communities=args.communities)
     if args.seed is not None:
         spec = spec.replace(seed=args.seed)
     if spec.n_communities is None:
         raise SystemExit("spec does not define n_communities")
-    batches = _read_event_batches(args.updates)
 
     artifacts = []
     try:
         session = api.Session(
-            max_workers=args.max_workers,
-            executor=args.executor,
-            wire=args.wire,
+            max_workers=args.max_workers, executor=args.executor
         )
     except api.SessionError as error:
         raise SystemExit(str(error)) from None
@@ -376,7 +375,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 f"{touched} touched node(s){warm_note}"
             )
             artifacts.append(artifact)
-    except (api.RegistryError, api.SpecError, api.ConfigError) as error:
+    except (
+        api.RegistryError, api.SpecError, api.ConfigError, ValueError
+    ) as error:
         raise SystemExit(str(error)) from None
     finally:
         session.close()
@@ -394,9 +395,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     scale = args.scale
     try:
         session = api.Session(
-            max_workers=args.max_workers,
-            executor=args.executor,
-            wire=args.wire,
+            max_workers=args.max_workers, executor=args.executor
         )
     except api.SessionError as error:
         raise SystemExit(str(error)) from None
@@ -455,7 +454,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_body_bytes=args.max_body_bytes,
             max_workers=args.max_workers,
             executor=args.executor,
-            wire=args.wire,
         )
     except (api.SessionError, OSError) as error:
         raise SystemExit(str(error)) from None
@@ -533,7 +531,7 @@ def _add_session_flags(
     """Attach the uniform session-backend flags to a subcommand.
 
     ``repro detect --repeat``, ``repro stream``, ``repro bench`` and
-    ``repro serve`` all drive :class:`repro.api.Session`; these three
+    ``repro serve`` all drive :class:`repro.api.Session`; these two
     flags pick its backend identically everywhere, and each command
     prints the resolved backend it ran on.
     """
@@ -553,17 +551,6 @@ def _add_session_flags(
         type=int,
         default=None,
         help="session executor width (default: min(8, cpu_count))",
-    )
-    parser.add_argument(
-        "--wire",
-        choices=("pickle", "shm", "auto"),
-        default="auto",
-        help=(
-            "process-backend input handoff: 'shm' ships inputs "
-            "through shared-memory segments, 'pickle' inside task "
-            "payloads; 'auto' (default) resolves to shm.  No-op on "
-            "the thread backend"
-        ),
     )
 
 

@@ -7,14 +7,16 @@ of seeded single runs **field by field** — labels, energies, spec echo,
 seeds, indices — for any worker count and chunking.  These tests pin
 that equivalence with the golden harness's structural differ, plus the
 process-mode plumbing around it: clamp-and-warn width resolution,
-worker counter merging, executor config round-trips and the atexit
-default-session hook.
+worker counter merging, the array wire's byte accounting, executor
+config round-trips and the atexit default-session hook.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -129,6 +131,24 @@ class TestProcessRuntime:
             narrow = session.detect_batch(graphs, QHD_SPEC, max_workers=2)
         _assert_artifacts_identical(wide, narrow)
 
+    @pytest.mark.parametrize("max_workers", [2, 3])
+    def test_mixed_solve_batch_matches_sequential(self, max_workers):
+        graph, _ = ring_of_cliques(3, 5)
+        sparse = build_community_qubo(
+            graph, n_communities=3, backend="sparse"
+        ).model
+        models = [random_qubo(10, 0.4, seed=i) for i in range(3)]
+        models += [sparse, sparse]  # dense and sparse bundles, repeated
+        expected = [
+            runner._solve_one(m, runner._spec_of(SOLVE_SPEC), i)
+            for i, m in enumerate(models)
+        ]
+        with Session(max_workers=3, executor="process") as session:
+            got = session.solve_batch(
+                models, SOLVE_SPEC, max_workers=max_workers
+            )
+        _assert_artifacts_identical(expected, got)
+
     def test_worker_pool_counters_merge_back(self):
         graphs = [ring_of_cliques(3, 4)[0] for _ in range(6)]
         with Session(max_workers=2, executor="process") as session:
@@ -166,97 +186,95 @@ class TestProcessRuntime:
             executor.submit(os.getpid)
 
 
-@pytest.mark.parametrize("wire", ["pickle", "shm", "auto"])
-@pytest.mark.parametrize("max_workers", [2, 3])
-class TestWireModeEquivalence:
-    """Both wires reproduce sequential fresh runs at any chunking."""
-
-    def test_detect_matches_sequential_fresh_runs(self, wire, max_workers):
-        graphs = _graphs()
-        expected = [
-            runner._detect_one(g, runner._spec_of(QHD_SPEC), i)
-            for i, g in enumerate(graphs)
-        ]
-        with Session(
-            max_workers=3, executor="process", wire=wire
-        ) as session:
-            got = session.detect_batch(
-                graphs, QHD_SPEC, max_workers=max_workers
-            )
-        _assert_artifacts_identical(expected, got)
-
-    def test_solve_models_both_backends(self, wire, max_workers):
-        graph, _ = ring_of_cliques(3, 5)
-        sparse = build_community_qubo(
-            graph, n_communities=3, backend="sparse"
-        ).model
-        models = [random_qubo(10, 0.4, seed=i) for i in range(3)]
-        models += [sparse, sparse]  # repeated input exercises dedup
-        expected = [
-            runner._solve_one(m, runner._spec_of(SOLVE_SPEC), i)
-            for i, m in enumerate(models)
-        ]
-        with Session(
-            max_workers=3, executor="process", wire=wire
-        ) as session:
-            got = session.solve_batch(
-                models, SOLVE_SPEC, max_workers=max_workers
-            )
-        _assert_artifacts_identical(expected, got)
+HAS_DEV_SHM = os.path.isdir("/dev/shm")
 
 
-class TestWireConfig:
-    def test_invalid_wire_rejected(self):
-        with pytest.raises(SessionError, match="wire"):
-            Session(wire="carrier-pigeon")
+def _shm_entries() -> set:
+    return set(os.listdir("/dev/shm")) if HAS_DEV_SHM else set()
 
-    @pytest.mark.parametrize("wire", ["pickle", "shm", "auto"])
-    def test_wire_round_trips(self, wire):
-        config = Session(max_workers=2, wire=wire).to_config()
-        assert config["wire"] == wire
-        assert Session.from_config(config).to_config() == config
 
-    def test_auto_resolves_to_shm(self):
-        assert Session(wire="auto").wire_mode == "shm"
-        assert Session(wire="pickle").wire_mode == "pickle"
+class TestArrayWire:
+    """Process workers get pickled ``to_arrays`` payloads, nothing else."""
 
-    def test_stats_reports_wire_counters(self):
-        graphs = _graphs(4)
-        graphs.append(graphs[0])  # identity-repeated input
-        with Session(
-            max_workers=2, executor="process", wire="shm"
-        ) as session:
-            session.detect_batch(graphs, QHD_SPEC)
-            wire = session.stats()["wire"]
-        assert wire["mode"] == "shm"
-        # Four small graphs bump-allocate into a single slab segment;
-        # the identity-repeated one reuses its bytes, not recopies.
-        assert wire["segments_created"] == 1
-        assert wire["bundles_encoded"] == 4
-        assert wire["bundles_reused"] == 1
-        assert wire["bytes_shipped"] == 0
-        assert wire["bytes_referenced"] > 0
+    def test_payload_nbytes_matches_arrays(self):
+        graph, _ = ring_of_cliques(3, 4)
+        tag, payload = runner._encode_input(graph)
+        _, u, v, w = payload
+        assert runner.payload_nbytes(tag, payload) == (
+            u.nbytes + v.nbytes + w.nbytes
+        )
+        model = random_qubo(6, 0.5, seed=1)
+        tag, payload = runner._encode_input(model)
+        assert runner.payload_nbytes(tag, payload) == sum(
+            value.nbytes
+            for value in payload.values()
+            if isinstance(value, np.ndarray)
+        )
+        assert runner.payload_nbytes("object", {"any": "thing"}) == 0
 
-    def test_pickle_wire_ships_bytes(self):
+    def test_bytes_shipped_counts_process_inputs(self):
         graphs = _graphs(3)
-        with Session(
-            max_workers=2, executor="process", wire="pickle"
-        ) as session:
+        expected = sum(
+            runner.payload_nbytes(*runner._encode_input(g)) for g in graphs
+        )
+        with Session(max_workers=2, executor="process") as session:
             session.detect_batch(graphs, QHD_SPEC)
-            wire = session.stats()["wire"]
-        assert wire["segments_created"] == 0
-        assert wire["bytes_shipped"] > 0
-        assert wire["bytes_referenced"] == 0
+            assert session.stats()["wire"] == {"bytes_shipped": expected}
+            session.submit(graphs[0], QHD_SPEC).result()
+            shipped = session.stats()["wire"]["bytes_shipped"]
+        assert shipped > expected > 0
 
-    def test_thread_backend_bypasses_wire(self):
-        graphs = _graphs(3)
-        with Session(
-            max_workers=2, executor="thread", wire="shm"
-        ) as session:
-            session.detect_batch(graphs, QHD_SPEC)
-            wire = session.stats()["wire"]
-        assert wire["segments_created"] == 0
-        assert wire["bytes_shipped"] == 0
+    def test_thread_backend_ships_nothing(self):
+        with Session(max_workers=2, executor="thread") as session:
+            session.detect_batch(_graphs(3), QHD_SPEC)
+            session.submit(_graphs(1)[0], QHD_SPEC).result()
+            assert session.stats()["wire"]["bytes_shipped"] == 0
+
+    def test_wire_knob_is_gone(self):
+        with pytest.raises(TypeError, match="wire"):
+            Session(wire="pickle")
+
+    def test_worker_exception_mid_batch(self):
+        graphs = [ring_of_cliques(3, 4)[0] for _ in range(5)]
+        specs = [dict(QHD_SPEC) for _ in range(5)]
+        specs[2] = dict(QHD_SPEC, solver="no-such-solver")
+        before = _shm_entries()
+        with Session(executor="process", max_workers=2) as session:
+            with pytest.raises(Exception, match="no-such-solver"):
+                session.detect_batch(graphs, specs)
+            # The session stays usable for the next batch.
+            follow_up = session.detect_batch(graphs[:2], QHD_SPEC)
+            assert len(follow_up) == 2
+        if HAS_DEV_SHM:
+            assert _shm_entries() == before
+
+    def test_no_resource_tracker_warnings_at_exit(self):
+        """A fresh interpreter running a process batch exits silently."""
+        code = (
+            "import repro.api as api\n"
+            "from repro.graphs.generators import ring_of_cliques\n"
+            "graphs = [ring_of_cliques(3, 4)[0] for _ in range(4)]\n"
+            "spec = {'detector': 'qhd', 'solver': 'greedy',\n"
+            "        'n_communities': 3, 'seed': 0}\n"
+            "with api.Session(executor='process',\n"
+            "                 max_workers=2) as session:\n"
+            "    session.detect_batch(graphs, spec)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
+            "PYTHONPATH", ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+        assert "leaked" not in proc.stderr, proc.stderr
 
 
 class TestPerItemSpecs:

@@ -327,8 +327,6 @@ class TestSigtermDrain:
                 "2",
                 "--executor",
                 "process",
-                "--wire",
-                "shm",
                 "--max-workers",
                 "2",
             ],

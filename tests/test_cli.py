@@ -130,6 +130,93 @@ class TestDetectCommand:
         assert "direct-qubo[qhd]" in capsys.readouterr().out
 
 
+class TestInputErrors:
+    """Bad inputs exit with a one-line message, not a traceback."""
+
+    @pytest.fixture
+    def stream_files(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {"solver": "greedy", "n_communities": 2, "seed": 0}
+            )
+        )
+        updates = tmp_path / "events.jsonl"
+        updates.write_text('[{"op": "insert", "u": 0, "v": 7}]\n')
+        return spec, updates
+
+    def test_detect_missing_input(self, tmp_path):
+        missing = tmp_path / "missing.txt"
+        with pytest.raises(SystemExit, match="No such file") as excinfo:
+            main(["detect", "--input", str(missing), "--communities", "2"])
+        assert str(missing) in str(excinfo.value.code)
+
+    @pytest.mark.parametrize(
+        "text", ["{not json", '{"n_communities": 2, "bogus": 1}']
+    )
+    def test_detect_malformed_spec(self, graph_file, tmp_path, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["detect", "--input", str(graph_file), "--spec", str(spec)])
+        assert isinstance(excinfo.value.code, str)
+
+    def test_detect_zero_communities(self, graph_file):
+        with pytest.raises(SystemExit, match="n_communities must be >= 1"):
+            main(
+                [
+                    "detect",
+                    "--input",
+                    str(graph_file),
+                    "--communities",
+                    "0",
+                    "--solver",
+                    "greedy",
+                ]
+            )
+
+    def test_stream_missing_input(self, tmp_path, stream_files):
+        spec, updates = stream_files
+        with pytest.raises(SystemExit, match="No such file"):
+            main(
+                [
+                    "stream",
+                    "--input",
+                    str(tmp_path / "missing.txt"),
+                    "--spec",
+                    str(spec),
+                    "--updates",
+                    str(updates),
+                ]
+            )
+
+    def test_stream_zero_communities(self, graph_file, stream_files):
+        spec, updates = stream_files
+        with pytest.raises(SystemExit, match="n_communities must be >= 1"):
+            main(
+                [
+                    "stream",
+                    "--input",
+                    str(graph_file),
+                    "--spec",
+                    str(spec),
+                    "--updates",
+                    str(updates),
+                    "--communities",
+                    "0",
+                    "--executor",
+                    "thread",
+                ]
+            )
+
+    def test_wire_flag_is_gone(self, graph_file):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["detect", "--input", str(graph_file), "--wire", "pickle"]
+            )
+        assert excinfo.value.code == 2
+
+
 class TestListSolvers:
     def test_lists_registries_and_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
