@@ -277,6 +277,33 @@ class TestArrayWire:
         assert "leaked" not in proc.stderr, proc.stderr
 
 
+@pytest.mark.parametrize("wire", ["pickle"])
+@pytest.mark.parametrize("max_workers", [2, 3])
+class TestWireModeEquivalence:
+    """The pickled array wire reproduces sequential fresh runs.
+
+    ``wire`` names the one process wire there is: pickled ``to_arrays``
+    bundles, whose bytes the session counts as shipped.
+    """
+
+    def test_detect_matches_sequential_fresh_runs(self, wire, max_workers):
+        graphs = _graphs()
+        expected = [
+            runner._detect_one(g, runner._spec_of(QHD_SPEC), i)
+            for i, g in enumerate(graphs)
+        ]
+        shipped = sum(
+            runner.payload_nbytes(*runner._encode_input(g)) for g in graphs
+        )
+        with Session(max_workers=3, executor="process") as session:
+            got = session.detect_batch(
+                graphs, QHD_SPEC, max_workers=max_workers
+            )
+            assert session.stats()["wire"] == {"bytes_shipped": shipped}
+        assert wire == "pickle" and shipped > 0
+        _assert_artifacts_identical(expected, got)
+
+
 class TestPerItemSpecs:
     """A spec list fans out per-item seeds/configs, order-preserving."""
 
