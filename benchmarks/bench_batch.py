@@ -40,7 +40,6 @@ through pytest like the other ``bench_*`` modules.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import os
 import sys
@@ -210,13 +209,11 @@ def save_json(report: dict) -> Path:
     return path
 
 
-def append_trajectory(report: dict) -> Path:
-    """Append one dated point to BENCH_batch_runtime.json at the root."""
+def append_trajectory(report: dict, quick: bool) -> Path:
+    """Append one point to BENCH_batch_runtime.json at the root."""
     by_label = {row["label"]: row["seconds"] for row in report["results"]}
     workers = report["n_workers"]
     point = {
-        "date": datetime.date.today().isoformat(),
-        "cpu_count": report["cpu_count"],
         "n_workers": workers,
         "n_graphs": report["n_graphs"],
         "n_nodes": report["n_nodes"],
@@ -228,7 +225,9 @@ def append_trajectory(report: dict) -> Path:
         "process_speedup": report["process_speedup"],
         "process_over_thread": report["process_over_thread"],
     }
-    return append_point(TRAJECTORY_PATH, "batch_runtime", point)
+    return append_point(
+        TRAJECTORY_PATH, "batch_runtime", point, quick=quick
+    )
 
 
 def test_batch(benchmark):
@@ -268,7 +267,7 @@ def main(argv=None) -> int:
     path = save_json(report)
     print(f"[json saved to {path}]")
     if not args.no_trajectory:
-        trajectory = append_trajectory(report)
+        trajectory = append_trajectory(report, args.quick)
         print(f"[trajectory point appended to {trajectory}]")
     return 0
 

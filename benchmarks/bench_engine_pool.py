@@ -37,7 +37,6 @@ import argparse
 import json
 import sys
 import time
-from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -239,7 +238,7 @@ def save_json(report: dict) -> Path:
     return path
 
 
-def append_trajectory_point(report: dict) -> Path:
+def append_trajectory_point(report: dict, quick: bool) -> Path:
     """Append the headline point to the root BENCH_engine_pool.json.
 
     One entry per PR touching the pool/session path: the heavier
@@ -253,7 +252,6 @@ def append_trajectory_point(report: dict) -> Path:
     )
     e2e = report["end_to_end"]
     point = {
-        "date": date.today().isoformat(),
         "n_variables": shape["n_variables"],
         "grid_points": shape["grid_points"],
         "n_steps": shape["n_steps"],
@@ -264,7 +262,7 @@ def append_trajectory_point(report: dict) -> Path:
         "amortized_setup_speedup_batch16": batch16["amortized_speedup"],
         "end_to_end_batch_speedup": e2e["speedup"],
     }
-    return append_point(ROOT_TRAJECTORY, "engine_pool", point)
+    return append_point(ROOT_TRAJECTORY, "engine_pool", point, quick=quick)
 
 
 def test_engine_pool(benchmark):
@@ -306,7 +304,7 @@ def main(argv=None) -> int:
     path = save_json(report)
     print(f"[json saved to {path}]")
     if not args.no_trajectory:
-        traj = append_trajectory_point(report)
+        traj = append_trajectory_point(report, args.quick)
         print(f"[trajectory point appended to {traj}]")
     return 0
 

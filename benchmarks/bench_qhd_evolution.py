@@ -32,7 +32,6 @@ import argparse
 import json
 import sys
 import time
-from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -200,7 +199,7 @@ def save_json(report: dict) -> Path:
     return path
 
 
-def append_trajectory_point(report: dict) -> Path | None:
+def append_trajectory_point(report: dict, quick: bool) -> Path | None:
     """Append the headline n>=200 complex128 point to the root file.
 
     ``BENCH_qhd_evolution.json`` is the repo's perf trajectory for the
@@ -214,7 +213,6 @@ def append_trajectory_point(report: dict) -> Path | None:
         return None
     headline = large[0]
     point = {
-        "date": date.today().isoformat(),
         "n_variables": headline["n_variables"],
         "n_steps": headline["n_steps"],
         "dtype": "complex128",
@@ -224,7 +222,7 @@ def append_trajectory_point(report: dict) -> Path | None:
         "complex64_ms_per_step": headline["complex64_ms_per_step"],
         "complex64_speedup": headline["complex64_speedup"],
     }
-    return append_point(ROOT_TRAJECTORY, "qhd_evolution", point)
+    return append_point(ROOT_TRAJECTORY, "qhd_evolution", point, quick=quick)
 
 
 def test_qhd_evolution(benchmark):
@@ -263,7 +261,7 @@ def main(argv=None) -> int:
     path = save_json(report)
     print(f"[json saved to {path}]")
     if not args.no_trajectory:
-        traj = append_trajectory_point(report)
+        traj = append_trajectory_point(report, args.quick)
         if traj is not None:
             print(f"[trajectory point appended to {traj}]")
     return 0

@@ -36,7 +36,6 @@ import sys
 import threading
 import time
 import urllib.request
-from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +184,7 @@ def save_json(report: dict) -> Path:
     return path
 
 
-def append_trajectory_point(report: dict) -> Path:
+def append_trajectory_point(report: dict, quick: bool) -> Path:
     """Append the headline point to the root BENCH_serve.json.
 
     One entry per PR touching the service tier: the heavier (QHD)
@@ -193,7 +192,6 @@ def append_trajectory_point(report: dict) -> Path:
     """
     row = report["instances"][-1]
     point = {
-        "date": date.today().isoformat(),
         "label": row["label"],
         "n_requests": row["n_requests"],
         "concurrency": row["concurrency"],
@@ -201,7 +199,7 @@ def append_trajectory_point(report: dict) -> Path:
         "p50_ms": row["p50_ms"],
         "p95_ms": row["p95_ms"],
     }
-    return append_point(ROOT_TRAJECTORY, "serve", point)
+    return append_point(ROOT_TRAJECTORY, "serve", point, quick=quick)
 
 
 def test_serve(benchmark):
@@ -243,7 +241,7 @@ def main(argv=None) -> int:
     path = save_json(report)
     print(f"[json saved to {path}]")
     if not args.no_trajectory:
-        traj = append_trajectory_point(report)
+        traj = append_trajectory_point(report, args.quick)
         print(f"[trajectory point appended to {traj}]")
     return 0
 

@@ -38,7 +38,6 @@ import argparse
 import json
 import sys
 import time
-from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -235,7 +234,7 @@ def save_json(report: dict) -> Path:
     return path
 
 
-def append_trajectory_point(report: dict) -> Path:
+def append_trajectory_point(report: dict, quick: bool) -> Path:
     """Append the headline point to the root BENCH_stream.json.
 
     One entry per PR touching the streaming path: the heavier
@@ -243,7 +242,6 @@ def append_trajectory_point(report: dict) -> Path:
     """
     row = report["instances"][-1]
     point = {
-        "date": date.today().isoformat(),
         "n_variables": row["n_variables"],
         "nnz": row["nnz"],
         "n_batches": row["n_batches"],
@@ -252,7 +250,7 @@ def append_trajectory_point(report: dict) -> Path:
         "incremental_ms_per_batch": row["incremental_ms_per_batch"],
         "min_speedup": report["min_speedup"],
     }
-    return append_point(ROOT_TRAJECTORY, "stream", point)
+    return append_point(ROOT_TRAJECTORY, "stream", point, quick=quick)
 
 
 def test_stream(benchmark):
@@ -291,7 +289,7 @@ def main(argv=None) -> int:
     path = save_json(report)
     print(f"[json saved to {path}]")
     if not args.no_trajectory:
-        traj = append_trajectory_point(report)
+        traj = append_trajectory_point(report, args.quick)
         print(f"[trajectory point appended to {traj}]")
     return 0
 

@@ -39,9 +39,11 @@ Packages
 ``repro.qubo``
     QUBO models and the Algorithm 1 community-detection formulation.
 ``repro.hamiltonian``
-    Grids, schedules and split-operator propagators for QHD.
+    Dirichlet grids, schedules and the sine-basis split-operator
+    propagator for QHD.
 ``repro.qhd``
-    The Quantum Hamiltonian Descent solver (plus exact validators).
+    The Quantum Hamiltonian Descent solver (plus the exact tensor-grid
+    simulator the tests use as its oracle).
 ``repro.solvers``
     Classical QUBO solvers, including the branch & bound GUROBI substitute.
 ``repro.community``

@@ -28,14 +28,7 @@ from repro.community.metrics import (
     partition_summary,
 )
 from repro.community.detector import QhdCommunityDetector
-from repro.community.girvan_newman import girvan_newman
 from repro.community.adaptive import AdaptivePenaltyDetector
-from repro.community.kernighan_lin import kl_swap_refine, swap_gain
-from repro.community.consensus import (
-    co_association_matrix,
-    consensus_detect,
-    consensus_labels,
-)
 
 __all__ = [
     "modularity",
@@ -57,11 +50,5 @@ __all__ = [
     "coverage",
     "partition_summary",
     "QhdCommunityDetector",
-    "girvan_newman",
     "AdaptivePenaltyDetector",
-    "kl_swap_refine",
-    "swap_gain",
-    "co_association_matrix",
-    "consensus_labels",
-    "consensus_detect",
 ]

@@ -29,10 +29,6 @@ from repro.experiments.robustness import (
     run_robustness,
 )
 from repro.experiments.lfr_sweep import LfrSweepReport, run_lfr_sweep
-from repro.experiments.paper_report import (
-    ReportScale,
-    generate_paper_report,
-)
 from repro.experiments.ablations import (
     run_multilevel_ablation,
     run_penalty_ablation,
@@ -54,8 +50,6 @@ __all__ = [
     "run_schedule_ablation",
     "run_penalty_ablation",
     "run_multilevel_ablation",
-    "ReportScale",
-    "generate_paper_report",
     "ScalingReport",
     "run_scaling",
     "LfrSweepReport",

@@ -19,7 +19,6 @@ from repro.graphs.generators import (
 )
 from repro.graphs.lfr import lfr_graph
 from repro.graphs.io import read_edge_list, write_edge_list
-from repro.graphs.analysis import GraphSummary, summarize_graph
 
 __all__ = [
     "Graph",
@@ -38,6 +37,4 @@ __all__ = [
     "lfr_graph",
     "read_edge_list",
     "write_edge_list",
-    "GraphSummary",
-    "summarize_graph",
 ]

@@ -10,8 +10,8 @@ had the same grid shape, step count and dtype.
 :class:`EnginePool` closes that gap.  Engines are cached under an
 :func:`engine_key` covering every construction parameter that shapes the
 precomputed tables and buffers (sample count, variable count, grid
-points, step count, horizon, schedule parameters, boundary,
-normalisation cadence, dtype and worker count) and leased to runs:
+points, step count, horizon, schedule parameters, normalisation
+cadence and dtype) and leased to runs:
 
 * a **lease** (:meth:`EnginePool.lease`) pops a cached engine for the
   key — or constructs one on a miss — and hands it out exclusively;
@@ -91,10 +91,8 @@ def engine_key(
     grid_points: int,
     n_steps: int,
     t_final: float,
-    boundary: str = "dirichlet",
     normalize_every: int = 10,
     dtype: str = "complex128",
-    n_workers: int = 1,
 ) -> tuple:
     """The cache key of one engine shape.
 
@@ -110,10 +108,8 @@ def engine_key(
         int(grid_points),
         int(n_steps),
         float(t_final),
-        str(boundary),
         int(normalize_every),
         str(dtype),
-        int(n_workers),
         schedule_key(schedule),
     )
 
@@ -208,11 +204,9 @@ class EnginePool:
         grid_points: int,
         n_steps: int,
         t_final: float,
-        boundary: str = "dirichlet",
         normalize_every: int = 10,
         energy_scale: float = 1.0,
         dtype: str = "complex128",
-        n_workers: int = 1,
     ) -> _EngineLease:
         """Lease an engine for ``model`` with the given evolution knobs.
 
@@ -229,10 +223,8 @@ class EnginePool:
             grid_points=grid_points,
             n_steps=n_steps,
             t_final=t_final,
-            boundary=boundary,
             normalize_every=normalize_every,
             dtype=dtype,
-            n_workers=n_workers,
         )
         engine: EvolutionEngine | None = None
         with self._lock:
@@ -259,11 +251,9 @@ class EnginePool:
                 grid_points=grid_points,
                 n_steps=n_steps,
                 t_final=t_final,
-                boundary=boundary,
                 normalize_every=normalize_every,
                 energy_scale=energy_scale,
                 dtype=dtype,
-                n_workers=n_workers,
             )
             watch.stop()
             with self._lock:

@@ -24,9 +24,11 @@ and classically refined by vectorised 1-opt descent — QHDOPT's hybrid
 quantum-classical loop.
 
 The Strang loop itself runs on the preallocated
-:class:`repro.qhd.engine.EvolutionEngine` (phase tables, in-place
-buffers, single-pass observables); seeded complex128 trajectories are
-bit-identical to the historical inline loop.
+:class:`repro.qhd.engine.EvolutionEngine` (hard-wall sine-basis phase
+tables, in-place buffers, single-pass observables); seeded complex128
+trajectories are bit-identical to the historical inline loop.  Besides
+the schedule and step counts, ``dtype`` is the solver's one throughput
+knob.
 """
 
 from __future__ import annotations
@@ -84,17 +86,10 @@ class QhdSolver(QuboSolver):
     normalize_every:
         Renormalise the wavefunctions every this many steps to control
         floating-point drift (Strang steps are unitary up to rounding).
-    boundary:
-        ``"dirichlet"`` (default) uses hard walls and sine-basis matmuls;
-        ``"periodic"`` uses the FFT pseudospectral propagator.
     dtype:
         Evolution precision: ``"complex128"`` (default; seeded runs are
         bit-identical to the pre-engine loop) or ``"complex64"`` (half
         the memory bandwidth at single-precision quality).
-    n_workers:
-        Thread shards for the element-wise evolution stages; any value
-        produces identical results (sampling draws are issued
-        full-batch), so this is purely a throughput knob.
     seed:
         RNG seed for initial wavepackets and measurements.
 
@@ -124,10 +119,8 @@ class QhdSolver(QuboSolver):
         shots: int = 4,
         refine_sweeps: int | None = None,
         normalize_every: int = 10,
-        boundary: str = "dirichlet",
         record_trace: bool = False,
         dtype: str = "complex128",
-        n_workers: int = 1,
         time_limit: float | None = float("inf"),
         seed: SeedLike = None,
     ) -> None:
@@ -152,18 +145,11 @@ class QhdSolver(QuboSolver):
         self.normalize_every = check_integer(
             normalize_every, "normalize_every", minimum=1
         )
-        if boundary not in ("dirichlet", "periodic"):
-            raise SolverError(
-                f"boundary must be 'dirichlet' or 'periodic', "
-                f"got {boundary!r}"
-            )
-        self.boundary = boundary
         self.record_trace = bool(record_trace)
         try:
             self.dtype = check_complex_dtype(dtype)
         except SimulationError as err:
             raise SolverError(str(err)) from None
-        self.n_workers = check_integer(n_workers, "n_workers", minimum=1)
         self.time_limit = check_time_limit(time_limit)
         self._seed = seed
         # Runtime wiring, not configuration: an attached EnginePool lets
@@ -254,11 +240,9 @@ class QhdSolver(QuboSolver):
             grid_points=self.grid_points,
             n_steps=self.n_steps,
             t_final=self.t_final,
-            boundary=self.boundary,
             normalize_every=self.normalize_every,
             energy_scale=energy_scale,
             dtype=self.dtype,
-            n_workers=self.n_workers,
         )
         with lease as engine:
             psi = self._initial_wavepackets(
@@ -296,11 +280,7 @@ class QhdSolver(QuboSolver):
             mean_positions=mu,
             trace=outcome.trace,
             refinement_sweeps=refine_sweeps,
-            metadata={
-                "energy_scale": energy_scale,
-                "dtype": self.dtype,
-                "n_workers": self.n_workers,
-            },
+            metadata={"energy_scale": energy_scale, "dtype": self.dtype},
         )
         return details, watch.elapsed, outcome.steps_done
 
@@ -344,10 +324,7 @@ class QhdSolver(QuboSolver):
         """
         shape = (self.n_samples, n_variables, len(points))
         psi = np.empty(shape, dtype=dtype)
-        if self.boundary == "periodic":
-            psi[0] = 1.0  # uniform state: the periodic kinetic ground state
-        else:
-            psi[0] = np.sin(np.pi * points / (points[-1] + spacing))
+        psi[0] = np.sin(np.pi * points / (points[-1] + spacing))
 
         if self.n_samples > 1:
             centers = rng.uniform(

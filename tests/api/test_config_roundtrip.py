@@ -83,6 +83,26 @@ def test_multilevel_config_rejects_unknown_keys():
         MultilevelConfig.from_config({"threshold": 10, "gamma": 1.0})
 
 
+@pytest.mark.parametrize("knob", ["boundary", "n_workers"])
+def test_detect_rejects_removed_qhd_knobs(knob):
+    from repro import api
+    from repro.api import ConfigError
+    from repro.graphs.generators import ring_of_cliques
+
+    graph, _ = ring_of_cliques(3, 4)
+    value = {"boundary": "periodic", "n_workers": 2}[knob]
+    with pytest.raises(ConfigError, match="known keys"):
+        api.detect(
+            graph,
+            {
+                "solver": "qhd",
+                "solver_config": {knob: value},
+                "n_communities": 3,
+                "seed": 0,
+            },
+        )
+
+
 def test_detector_coerces_nested_solver_spec():
     detector = DETECTORS.create(
         "qhd",

@@ -1,16 +1,9 @@
-"""Tests for the LFR sweep experiment and the combined paper report."""
-
-import pytest
+"""Tests for the LFR sweep experiment."""
 
 from repro.experiments.lfr_sweep import (
     LfrSweepPoint,
     LfrSweepReport,
     run_lfr_sweep,
-)
-from repro.experiments.paper_report import (
-    ALL_SECTIONS,
-    ReportScale,
-    generate_paper_report,
 )
 from repro.solvers.simulated_annealing import SimulatedAnnealingSolver
 
@@ -46,35 +39,3 @@ class TestLfrSweep:
     def test_knee_empty(self):
         report = LfrSweepReport(points=[LfrSweepPoint(0.3, 0.2, 0.2, 0.1)])
         assert report.detectability_knee(threshold=0.5) == 0.0
-
-
-class TestPaperReport:
-    def test_unknown_section_rejected(self):
-        with pytest.raises(ValueError, match="unknown sections"):
-            generate_paper_report(sections=("fig99",))
-
-    def test_scales(self):
-        assert ReportScale.quick().portfolio_scale < (
-            ReportScale.thorough().portfolio_scale
-        )
-
-    def test_single_section_runs(self):
-        scale = ReportScale(
-            portfolio_scale=0.003,
-            small_instance_scale=0.1,
-            large_instance_scale=0.04,
-            large_seeds=1,
-        )
-        text = generate_paper_report(
-            scale=scale, sections=("fig3-fig4",)
-        )
-        assert "Figures 3 and 4" in text
-        assert "Figure 3" in text
-
-    def test_sections_tuple_complete(self):
-        assert set(ALL_SECTIONS) == {
-            "fig3-fig4",
-            "table1-fig5",
-            "table2-fig6",
-            "ablations",
-        }

@@ -5,10 +5,10 @@ below as a literal reference implementation (per-step schedule calls,
 ``position_expectations`` + ``sample_positions`` double density passes,
 ``strang_step`` allocations, sequential ``shots`` measurement loop) and
 the engine-driven solver must reproduce it **bit-for-bit** in complex128
-— dense and sparse models, Dirichlet and periodic boundaries, with and
-without tracing, for every ``n_workers``.  The ``complex64`` mode is
-quality-gated by tolerance instead, and the new knobs round-trip through
-the registry/config machinery like every other knob.
+— dense and sparse models, with and without tracing.  The
+``complex64`` mode is quality-gated by tolerance instead, and the
+``dtype`` knob round-trips through the registry/config machinery like
+every other knob.
 """
 
 import numpy as np
@@ -22,10 +22,6 @@ from repro.hamiltonian.observables import (
     normalize,
     position_expectations,
     sample_positions,
-)
-from repro.hamiltonian.periodic import (
-    PeriodicGrid,
-    PeriodicKineticPropagator,
 )
 from repro.hamiltonian.propagator import KineticPropagator, strang_step
 from repro.qhd.engine import EvolutionEngine
@@ -44,16 +40,10 @@ def reference_qhd_run(solver: QhdSolver, model):
     """
     rng = ensure_rng(solver._seed)
     n = model.n_variables
-    if solver.boundary == "periodic":
-        grid = PeriodicGrid(solver.grid_points)
-        points = grid.points
-        spacing = grid.spacing
-        propagator = PeriodicKineticPropagator(solver.grid_points, spacing)
-    else:
-        grid = PositionGrid(solver.grid_points)
-        points = grid.points
-        spacing = grid.spacing
-        propagator = KineticPropagator(solver.grid_points, spacing)
+    grid = PositionGrid(solver.grid_points)
+    points = grid.points
+    spacing = grid.spacing
+    propagator = KineticPropagator(solver.grid_points, spacing)
     energy_scale = solver._energy_scale(model)
 
     psi = solver._initial_wavepackets(rng, n, points, spacing)
@@ -162,25 +152,14 @@ class TestBitExactEquivalence:
     def test_dense_dirichlet(self, dense_model, seed):
         assert_bit_exact({"seed": seed}, dense_model)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_dense_periodic(self, dense_model, seed):
-        assert_bit_exact(
-            {"seed": seed, "boundary": "periodic"}, dense_model
-        )
-
     def test_sparse_dirichlet(self, sparse_model):
         assert_bit_exact({}, sparse_model)
-
-    def test_sparse_periodic(self, sparse_model):
-        assert_bit_exact({"boundary": "periodic"}, sparse_model)
 
     def test_dense_with_trace(self, dense_model):
         assert_bit_exact({"record_trace": True}, dense_model)
 
-    def test_sparse_with_trace_periodic(self, sparse_model):
-        assert_bit_exact(
-            {"record_trace": True, "boundary": "periodic"}, sparse_model
-        )
+    def test_sparse_with_trace(self, sparse_model):
+        assert_bit_exact({"record_trace": True}, sparse_model)
 
     def test_zero_shots(self, dense_model):
         assert_bit_exact({"shots": 0}, dense_model)
@@ -195,33 +174,6 @@ class TestBitExactEquivalence:
     def test_alternative_schedules(self, dense_model):
         assert_bit_exact({"schedule": "linear"}, dense_model)
         assert_bit_exact({"schedule": "exponential"}, dense_model)
-
-
-class TestWorkerDeterminism:
-    @pytest.mark.parametrize("n_workers", [2, 3, 5])
-    def test_workers_match_serial(self, dense_model, n_workers):
-        base = make_solver(seed=2).solve_detailed(dense_model)
-        sharded = make_solver(
-            seed=2, n_workers=n_workers
-        ).solve_detailed(dense_model)
-        np.testing.assert_array_equal(base.samples, sharded.samples)
-        np.testing.assert_array_equal(base.energies, sharded.energies)
-        np.testing.assert_array_equal(
-            base.mean_positions, sharded.mean_positions
-        )
-
-    def test_workers_match_reference(self, dense_model):
-        """Threaded runs are bit-exact vs the old loop too."""
-        assert_bit_exact({"n_workers": 4}, dense_model)
-
-    def test_more_workers_than_samples(self, dense_model):
-        base = make_solver(seed=1, n_samples=2).solve_detailed(dense_model)
-        sharded = make_solver(
-            seed=1, n_samples=2, n_workers=8
-        ).solve_detailed(dense_model)
-        np.testing.assert_array_equal(
-            base.mean_positions, sharded.mean_positions
-        )
 
 
 class TestComplex64Mode:
@@ -246,27 +198,6 @@ class TestComplex64Mode:
         half = make_solver(seed=9, dtype="complex64").solve(dense_model)
         scale = max(1.0, abs(full.energy))
         assert half.energy <= full.energy + 0.05 * scale
-
-    def test_periodic_complex64(self, dense_model):
-        full = make_solver(seed=3, boundary="periodic").solve_detailed(
-            dense_model
-        )
-        half = make_solver(
-            seed=3, boundary="periodic", dtype="complex64"
-        ).solve_detailed(dense_model)
-        np.testing.assert_allclose(
-            half.mean_positions, full.mean_positions, atol=5e-3
-        )
-
-    def test_workers_deterministic_in_complex64(self, dense_model):
-        a = make_solver(seed=5, dtype="complex64").solve_detailed(
-            dense_model
-        )
-        b = make_solver(
-            seed=5, dtype="complex64", n_workers=3
-        ).solve_detailed(dense_model)
-        np.testing.assert_array_equal(a.mean_positions, b.mean_positions)
-        np.testing.assert_array_equal(a.samples, b.samples)
 
 
 class TestEngineInternals:
@@ -303,11 +234,9 @@ class TestEngineInternals:
             engine.measure(ensure_rng(0), 2)
 
     def test_metadata_reports_knobs(self, small_qubo):
-        details = make_solver(
-            dtype="complex64", n_workers=2
-        ).solve_detailed(small_qubo)
+        details = make_solver(dtype="complex64").solve_detailed(small_qubo)
         assert details.metadata["dtype"] == "complex64"
-        assert details.metadata["n_workers"] == 2
+        assert "n_workers" not in details.metadata
 
 
 class TestConfigRoundTrips:
@@ -316,24 +245,24 @@ class TestConfigRoundTrips:
             "n_samples": 4,
             "n_steps": 10,
             "dtype": "complex64",
-            "n_workers": 3,
             "seed": 1,
         }
         solver = SOLVERS.create("qhd", **spec)
         config = solver.to_config()
         assert config["dtype"] == "complex64"
-        assert config["n_workers"] == 3
         rebuilt = SOLVERS.get("qhd").from_config(config)
         assert rebuilt.to_config() == config
 
     def test_defaults_roundtrip(self):
         config = QhdSolver().to_config()
         assert config["dtype"] == "complex128"
-        assert config["n_workers"] == 1
+        assert "boundary" not in config and "n_workers" not in config
         assert QhdSolver.from_config(config).to_config() == config
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(SolverError):
             QhdSolver(dtype="float64")
-        with pytest.raises(ValueError):
-            QhdSolver(n_workers=0)
+        with pytest.raises(TypeError):
+            QhdSolver(boundary="periodic")
+        with pytest.raises(TypeError):
+            QhdSolver(n_workers=2)

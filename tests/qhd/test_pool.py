@@ -47,9 +47,6 @@ class TestEngineKey:
         assert engine_key(
             model, schedule, **KNOBS, dtype="complex64"
         ) != base
-        assert engine_key(
-            model, schedule, **KNOBS, boundary="periodic"
-        ) != base
         other_schedule = get_schedule("linear", 1.0)
         assert engine_key(model, other_schedule, **KNOBS) != base
 
@@ -189,18 +186,8 @@ class TestPooledBitExactness:
     """Pooled runs must be bit-for-bit identical to fresh-engine runs."""
 
     CASES = [
-        pytest.param(
-            {"boundary": "dirichlet", "dtype": "complex128"},
-            id="dirichlet-c128",
-        ),
-        pytest.param(
-            {"boundary": "periodic", "dtype": "complex128"},
-            id="periodic-c128",
-        ),
-        pytest.param(
-            {"boundary": "dirichlet", "dtype": "complex64"},
-            id="dirichlet-c64",
-        ),
+        pytest.param({"dtype": "complex128"}, id="dirichlet-c128"),
+        pytest.param({"dtype": "complex64"}, id="dirichlet-c64"),
     ]
 
     @staticmethod

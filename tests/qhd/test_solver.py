@@ -8,6 +8,7 @@ from repro.qhd.solver import QhdSolver
 from repro.qubo.model import QuboModel
 from repro.qubo.random_instances import random_qubo
 from repro.solvers.base import SolverStatus
+from repro.solvers.bruteforce import BruteForceSolver
 
 
 def fast_solver(**overrides):
@@ -56,6 +57,16 @@ class TestSolveBasics:
             if np.isclose(result.energy, best, atol=1e-9):
                 hits += 1
         assert hits >= 5  # near-perfect on tiny instances
+
+    def test_matches_brute_force_on_easy_instances(self):
+        """Every seed reaches the exact optimum when it is clear."""
+        for seed in range(3):
+            model = random_qubo(6, 0.6, seed=10 + seed)
+            result = QhdSolver(
+                n_samples=12, n_steps=80, grid_points=12, seed=seed
+            ).solve(model)
+            exact = BruteForceSolver().solve(model)
+            assert np.isclose(result.energy, exact.energy, atol=1e-9)
 
     def test_offset_carried_through(self):
         model = QuboModel(np.zeros((3, 3)), np.ones(3), offset=7.0)

@@ -198,7 +198,24 @@ class TestErrorMapping:
                 },
             )
             assert status == 422
-            assert server.stats()["server"]["errors"] == 3
+            # A QHD option that no longer exists is a bad request too,
+            # answered with the solver's known config keys.
+            status, body, _ = _request(
+                server.url + "/detect",
+                {
+                    "graph": {"n_nodes": 3, "edges": [[0, 1], [1, 2]]},
+                    "spec": {
+                        "solver": "qhd",
+                        "solver_config": {"boundary": "periodic"},
+                        "n_communities": 2,
+                        "seed": 0,
+                    },
+                },
+            )
+            assert status == 422
+            assert "known keys" in body["error"]
+            assert "dtype" in body["error"]
+            assert server.stats()["server"]["errors"] == 4
 
     def test_missing_length_411_and_oversized_413(self):
         with _serving(
